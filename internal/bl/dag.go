@@ -88,6 +88,18 @@ type DAG struct {
 	exitDummies  map[cfg.Edge]*DAGEdge   // backedge -> t->Ex dummy
 	isBackedge   map[cfg.Edge]bool
 	realEdge     map[cfg.Edge]*DAGEdge
+	// steps[v] lists v's CFG out-edges in successor order, resolved to
+	// the DAG edges the Walker charges, so a step needs no map lookup.
+	steps [][]stepEdge
+}
+
+// stepEdge is one CFG edge v->to as the Walker consumes it: a real DAG edge,
+// or (real == nil) a backedge that completes a path through exit and
+// restarts one through entry.
+type stepEdge struct {
+	to          cfg.NodeID
+	real        *DAGEdge
+	exit, entry *DAGEdge
 }
 
 // MaxPaths bounds the number of BL paths a single procedure may have before
@@ -161,6 +173,17 @@ func Build(g *cfg.Graph) (*DAG, error) {
 			d.exitDummies[be] = add(&DAGEdge{
 				From: be.From, To: g.Exit(), Kind: ExitDummy,
 				Backedge: be,
+			})
+		}
+	}
+
+	d.steps = make([][]stepEdge, g.Len())
+	for v := cfg.NodeID(0); int(v) < g.Len(); v++ {
+		for _, s := range g.Succs(v) {
+			e := cfg.Edge{From: v, To: s}
+			d.steps[v] = append(d.steps[v], stepEdge{
+				to: s, real: d.realEdge[e],
+				exit: d.exitDummies[e], entry: d.entryDummies[s],
 			})
 		}
 	}

@@ -184,9 +184,8 @@ type LoopFlow struct {
 	B uint64
 }
 
-// ComputeLoopFlow derives LoopFlow for one loop from a BL path profile.
-// pathOf resolves path ids to reconstructed paths (allowing the caller to
-// cache reconstructions).
+// ComputeLoopFlow derives LoopFlow for one loop from a BL path profile,
+// reconstructing each counted path with d.PathForID.
 func ComputeLoopFlow(d *DAG, lp *LoopPaths, profile map[int64]uint64) (*LoopFlow, error) {
 	lf := &LoopFlow{
 		Paths: lp,

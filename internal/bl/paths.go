@@ -2,6 +2,7 @@ package bl
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"pathprof/internal/cfg"
@@ -196,16 +197,18 @@ func (p *Path) AccumAt(site cfg.NodeID) (int64, bool) {
 	return 0, false
 }
 
-// SeqKey builds a hashable key for a block sequence.
+// SeqKey builds a hashable key for a block sequence: the block ids in
+// decimal, comma-joined ("0,12,3"; cfg.None renders as "-1").
 func SeqKey(blocks []cfg.NodeID) string {
-	var b strings.Builder
+	var arr [128]byte
+	buf := arr[:0]
 	for i, n := range blocks {
 		if i > 0 {
-			b.WriteByte(',')
+			buf = append(buf, ',')
 		}
-		fmt.Fprintf(&b, "%d", n)
+		buf = strconv.AppendInt(buf, int64(n), 10)
 	}
-	return b.String()
+	return string(buf)
 }
 
 // FormatSeq renders a block sequence with labels.

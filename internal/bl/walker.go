@@ -74,30 +74,31 @@ func (w *Walker) PartialBlocks() []cfg.NodeID {
 // the current block. If the edge is a backedge, the current path instance
 // completes and is returned, and a new path begins at the loop header.
 func (w *Walker) Step(next cfg.NodeID) (*Instance, error) {
-	e := cfg.Edge{From: w.cur, To: next}
-	if w.d.isBackedge[e] {
-		xd := w.d.exitDummies[e]
-		inst := &Instance{
-			PathID:      w.id + xd.Val,
-			StartHeader: w.startHeader,
-			EndBackedge: e,
+	steps := w.d.steps[w.cur]
+	for i := range steps {
+		s := &steps[i]
+		if s.to != next {
+			continue
 		}
-		ed := w.d.entryDummies[e.To]
-		w.id = ed.Val
-		w.startHeader = e.To
+		if s.real != nil {
+			w.id += s.real.Val
+			w.cur = next
+			w.route = append(w.route, next)
+			return nil, nil
+		}
+		inst := &Instance{
+			PathID:      w.id + s.exit.Val,
+			StartHeader: w.startHeader,
+			EndBackedge: cfg.Edge{From: w.cur, To: next},
+		}
+		w.id = s.entry.Val
+		w.startHeader = next
 		w.cur = next
 		w.route = w.route[:0]
 		return inst, nil
 	}
-	re := w.d.realEdge[e]
-	if re == nil {
-		return nil, fmt.Errorf("bl: step along nonexistent edge %s->%s in %s",
-			w.d.G.Label(w.cur), w.d.G.Label(next), w.d.G.Name)
-	}
-	w.id += re.Val
-	w.cur = next
-	w.route = append(w.route, next)
-	return nil, nil
+	return nil, fmt.Errorf("bl: step along nonexistent edge %s->%s in %s",
+		w.d.G.Label(w.cur), w.d.G.Label(next), w.d.G.Name)
 }
 
 // Finish completes the activation; the walker must be standing on the

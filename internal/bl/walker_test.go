@@ -133,6 +133,28 @@ func TestWalkerRejectsNonEdges(t *testing.T) {
 	}
 }
 
+func TestWalkerRealStepAllocatesNothing(t *testing.T) {
+	g := cfg.PaperLoopCFG()
+	d := mustDAG(t, g)
+	var route []cfg.NodeID
+	for _, l := range []string{"P1", "P2", "B2", "P3"} {
+		route = append(route, findNode(t, g, l))
+	}
+	w := NewWalker(d)
+	w.route = make([]cfg.NodeID, 0, len(route))
+	allocs := testing.AllocsPerRun(100, func() {
+		w.cur, w.id, w.route = g.Entry(), 0, w.route[:0]
+		for _, v := range route {
+			if inst, err := w.Step(v); inst != nil || err != nil {
+				t.Fatalf("real step to %s: inst %v, err %v", g.Label(v), inst, err)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("real-edge steps allocate %.1f times; want 0", allocs)
+	}
+}
+
 func TestWalkerFinishRequiresExit(t *testing.T) {
 	d := mustDAG(t, cfg.PaperLoopCFG())
 	w := NewWalker(d)

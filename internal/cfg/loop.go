@@ -23,11 +23,15 @@ type Loop struct {
 	// Children are loops immediately nested inside this one.
 	Children []*Loop
 
-	inBody map[NodeID]bool
+	// inBody[v] reports whether node v is in the body; it is indexed by
+	// every node of the graph, so membership is one slice load.
+	inBody []bool
 }
 
 // Contains reports whether v is in the loop body.
-func (l *Loop) Contains(v NodeID) bool { return l.inBody[v] }
+func (l *Loop) Contains(v NodeID) bool {
+	return v >= 0 && int(v) < len(l.inBody) && l.inBody[v]
+}
 
 // ExitEdges returns the edges leaving the loop body, in deterministic order.
 func (l *Loop) ExitEdges(g *Graph) []Edge {
@@ -107,7 +111,8 @@ func FindLoops(g *Graph) (*LoopForest, error) {
 		}
 		l := f.byHead[e.To]
 		if l == nil {
-			l = &Loop{Head: e.To, inBody: map[NodeID]bool{e.To: true}}
+			l = &Loop{Head: e.To, inBody: make([]bool, g.Len())}
+			l.inBody[e.To] = true
 			f.byHead[e.To] = l
 			f.Loops = append(f.Loops, l)
 		}
@@ -117,11 +122,11 @@ func FindLoops(g *Graph) (*LoopForest, error) {
 
 	sort.Slice(f.Loops, func(i, j int) bool { return f.Loops[i].Head < f.Loops[j].Head })
 	for _, l := range f.Loops {
-		l.Body = l.Body[:0]
-		for v := range l.inBody {
-			l.Body = append(l.Body, v)
+		for v, in := range l.inBody {
+			if in {
+				l.Body = append(l.Body, NodeID(v))
+			}
 		}
-		sort.Slice(l.Body, func(i, j int) bool { return l.Body[i] < l.Body[j] })
 	}
 
 	f.buildNesting()
@@ -159,7 +164,7 @@ func (f *LoopForest) buildNesting() {
 			if a == b || b.Head == a.Head || !b.inBody[a.Head] {
 				continue
 			}
-			if best == nil || len(b.inBody) < len(best.inBody) {
+			if best == nil || len(b.Body) < len(best.Body) {
 				best = b
 			}
 		}
@@ -171,9 +176,9 @@ func (f *LoopForest) buildNesting() {
 
 	// innermost: for each node pick the smallest loop containing it.
 	for _, l := range f.Loops {
-		for v := range l.inBody {
+		for _, v := range l.Body {
 			cur := f.innermost[v]
-			if cur == nil || len(l.inBody) < len(cur.inBody) {
+			if cur == nil || len(l.Body) < len(cur.Body) {
 				f.innermost[v] = l
 			}
 		}

@@ -28,17 +28,15 @@ func (t *Tracer) LoopPairs() (map[LoopPairKey]uint64, error) {
 	for adj, n := range t.LoopAdj {
 		fi := t.Info.Funcs[adj.Func]
 		li := fi.Loops[adj.Loop]
-		pa := t.path(fi, adj.A)
-		pb := t.path(fi, adj.B)
-		if pa == nil || pb == nil {
+		a, okA := t.occurrence(fi, li, adj.A)
+		b, okB := t.occurrence(fi, li, adj.B)
+		if !okA || !okB {
 			return nil, t.Err
 		}
-		occA, okA := bl.AnalyzeLoop(pa, li.LP, fi.DAG)
-		occB, okB := bl.AnalyzeLoop(pb, li.LP, fi.DAG)
-		if !okA || !okB || !occA.Full || !occB.Full || occA.SeqIndex < 0 || occB.SeqIndex < 0 {
+		if !a.complete() || !b.complete() {
 			continue
 		}
-		out[LoopPairKey{adj.Func, adj.Loop, occA.SeqIndex, occB.SeqIndex}] += n
+		out[LoopPairKey{adj.Func, adj.Loop, a.occ.SeqIndex, b.occ.SeqIndex}] += n
 	}
 	return out, nil
 }
@@ -54,23 +52,21 @@ func (t *Tracer) ExpectedLoopCounters(k int) (map[profile.LoopKey]uint64, error)
 		if err != nil {
 			return nil, err
 		}
-		pb := t.path(fi, adj.B)
-		if pb == nil {
+		b, okB := t.occurrence(fi, li, adj.B)
+		if !okB {
 			return nil, t.Err
 		}
-		occ, ok := bl.AnalyzeLoop(pb, li.LP, fi.DAG)
-		if !ok {
+		if !b.hasHead {
 			return nil, fmt.Errorf("trace: successor path %d misses loop head", adj.B)
 		}
-		blocks := occ.BlocksOf(pb)
-		ext, err := x.Encode(x.CutSeq(blocks))
+		ext, err := x.Encode(x.CutSeq(b.occ.BlocksOf(b.p)))
 		if err != nil {
 			return nil, fmt.Errorf("trace: encoding extension of path %d: %w", adj.B, err)
 		}
 		out[profile.LoopKey{
 			Func: adj.Func, Loop: adj.Loop,
 			Base: adj.A, Ext: ext,
-			Full: occ.Full && occ.SeqIndex >= 0,
+			Full: b.complete(),
 		}] += n
 	}
 	return out, nil
@@ -123,19 +119,18 @@ func (t *Tracer) ExpectedLoopCountersIters(k, iters int) (map[profile.LoopKey]ui
 			d := descID{chain.Func, chain.Loop, chain.Succ[i]}
 			v, ok := cache[d]
 			if !ok {
-				pb := t.path(fi, d.id)
-				if pb == nil {
+				o, okOcc := t.occurrence(fi, li, d.id)
+				if !okOcc {
 					return nil, t.Err
 				}
-				occ, okOcc := bl.AnalyzeLoop(pb, li.LP, fi.DAG)
-				if !okOcc {
+				if !o.hasHead {
 					return nil, fmt.Errorf("trace: crossing descriptor path %d misses loop head", d.id)
 				}
-				ext, err := x.Encode(x.CutSeq(occ.BlocksOf(pb)))
+				ext, err := x.Encode(x.CutSeq(o.occ.BlocksOf(o.p)))
 				if err != nil {
 					return nil, fmt.Errorf("trace: encoding extension of path %d: %w", d.id, err)
 				}
-				v = routeFull{route: ext, full: occ.Full && occ.SeqIndex >= 0}
+				v = routeFull{route: ext, full: o.complete()}
 				cache[d] = v
 			}
 			key.SetCrossing(i, v.route, v.full)

@@ -8,6 +8,7 @@ package trace
 // so they are driven here by tampering with a healthy tracer.
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -209,7 +210,11 @@ func TestTracerRejectsCallFromNonCallSiteBlock(t *testing.T) {
 	if tr.Err == nil {
 		t.Fatal("call from a non-call-site block went unreported")
 	}
-	if !strings.Contains(tr.Err.Error(), "no call-site info") {
-		t.Fatalf("unexpected error: %v", tr.Err)
+	msg := tr.Err.Error()
+	entry := main.G.Entry()
+	for _, want := range []string{"no call-site info", fmt.Sprintf("block %d (%s)", entry, main.G.Label(entry)), main.Fn.Name} {
+		if !strings.Contains(msg, want) {
+			t.Fatalf("error %q does not name %q", msg, want)
+		}
 	}
 }

@@ -8,6 +8,8 @@
 package trace
 
 import (
+	"fmt"
+
 	"pathprof/internal/bl"
 	"pathprof/internal/cfg"
 	"pathprof/internal/interp"
@@ -116,6 +118,24 @@ type Tracer struct {
 	idx          int
 	pendingEnter *pendT1
 	pathCache    []map[int64]*bl.Path
+	// occCache[func][loop] memoizes loopOcc by BL path id: a path's
+	// occurrence of a loop is static, so it is analyzed once, not once
+	// per dynamic crossing.
+	occCache [][]map[int64]loopOcc
+}
+
+// loopOcc is one static path's occurrence of one loop (see bl.AnalyzeLoop).
+type loopOcc struct {
+	p   *bl.Path
+	occ bl.Occurrence
+	// hasHead reports that the path contains the loop header at all.
+	hasHead bool
+}
+
+// complete reports whether the path contains a full, enumerated iteration
+// sequence of the loop — what both components of a loop pair need.
+func (o loopOcc) complete() bool {
+	return o.hasHead && o.occ.Full && o.occ.SeqIndex >= 0
 }
 
 type instRec struct {
@@ -197,10 +217,15 @@ func NewTracer(info *profile.Info, m *interp.Machine) *Tracer {
 		T2:        map[T2AdjKey]uint64{},
 		Calls:     map[profile.CallKey]uint64{},
 		pathCache: make([]map[int64]*bl.Path, len(info.Funcs)),
+		occCache:  make([][]map[int64]loopOcc, len(info.Funcs)),
 	}
-	for i := range t.BL {
+	for i, fi := range info.Funcs {
 		t.BL[i] = map[int64]uint64{}
 		t.pathCache[i] = map[int64]*bl.Path{}
+		t.occCache[i] = make([]map[int64]loopOcc, len(fi.Loops))
+		for l := range fi.Loops {
+			t.occCache[i][l] = map[int64]loopOcc{}
+		}
 	}
 	t.idx = m.AddListener(t)
 	return t
@@ -228,6 +253,23 @@ func (t *Tracer) path(fi *profile.FuncInfo, id int64) *bl.Path {
 	}
 	t.pathCache[fi.Index][id] = p
 	return p
+}
+
+// occurrence resolves, with caching, path id's occurrence of loop li. It
+// returns ok=false with t.Err set when the id cannot be resolved.
+func (t *Tracer) occurrence(fi *profile.FuncInfo, li *profile.LoopInfo, id int64) (loopOcc, bool) {
+	memo := t.occCache[fi.Index][li.Index]
+	if o, ok := memo[id]; ok {
+		return o, true
+	}
+	p := t.path(fi, id)
+	if p == nil {
+		return loopOcc{}, false
+	}
+	o := loopOcc{p: p}
+	o.occ, o.hasHead = bl.AnalyzeLoop(p, li.LP, fi.DAG)
+	memo[id] = o
+	return o, true
 }
 
 func (t *Tracer) state(fr *interp.Frame) *frState {
@@ -261,12 +303,12 @@ func (t *Tracer) OnEdge(fr *interp.Frame, from, to int) {
 	// consumes the edge; the chains close with the crossing's descriptor —
 	// already captured, or pending until the in-flight path completes.
 	for i := range fs.loopSt {
-		li := fs.fi.Loops[i]
-		if !li.Loop.Contains(cfg.NodeID(from)) || li.Loop.Contains(cfg.NodeID(to)) {
-			continue
-		}
 		st := &fs.loopSt[i]
 		if !st.awaiting {
+			continue
+		}
+		l := fs.fi.Loops[i].Loop
+		if !l.Contains(cfg.NodeID(from)) || l.Contains(cfg.NodeID(to)) {
 			continue
 		}
 		if st.haveDesc {
@@ -453,15 +495,11 @@ func (t *Tracer) advanceChains(fs *frState, loop int, st *loopTraceState, d int6
 // interesting loop pair: both components must contain full iteration
 // sequences of the loop.
 func (t *Tracer) pairForms(fi *profile.FuncInfo, pb *pendLoop, next int64) bool {
-	pa := t.path(fi, pb.id)
-	pc := t.path(fi, next)
-	if pa == nil || pc == nil {
-		return false
-	}
-	occA, okA := bl.AnalyzeLoop(pa, pb.li.LP, fi.DAG)
-	occB, okB := bl.AnalyzeLoop(pc, pb.li.LP, fi.DAG)
-	return okA && okB && occA.Full && occA.SeqIndex >= 0 &&
-		occB.Full && occB.SeqIndex >= 0
+	// A failed lookup (recorded on t.Err) yields the zero loopOcc, which
+	// is not complete.
+	a, _ := t.occurrence(fi, pb.li, pb.id)
+	b, _ := t.occurrence(fi, pb.li, next)
+	return a.complete() && b.complete()
 }
 
 func (t *Tracer) tally(r *instRec) {
@@ -478,21 +516,12 @@ func (t *Tracer) wppSymbol(fi *profile.FuncInfo, block int) int32 {
 	return int32(fi.Index<<16 | block)
 }
 
-type errNoSiteT struct {
-	fn    string
-	block int
-}
-
-func (e errNoSiteT) Error() string {
-	return "trace: block " + e.fn + " has no call-site info"
-}
-
 func errNoSite(fi *profile.FuncInfo, block int) error {
-	return errNoSiteT{fn: fi.Fn.Name, block: block}
+	return fmt.Errorf("trace: block %d (%s) of %s has no call-site info",
+		block, fi.G.Label(cfg.NodeID(block)), fi.Fn.Name)
 }
 
-type errNoLoopT struct{ fn string }
-
-func (e errNoLoopT) Error() string { return "trace: backedge without loop in " + e.fn }
-
-func errNoLoop(fi *profile.FuncInfo, be cfg.Edge) error { return errNoLoopT{fn: fi.Fn.Name} }
+func errNoLoop(fi *profile.FuncInfo, be cfg.Edge) error {
+	return fmt.Errorf("trace: backedge %s->%s of %s has no loop",
+		fi.G.Label(be.From), fi.G.Label(be.To), fi.Fn.Name)
+}
