@@ -380,10 +380,9 @@ func BenchmarkCounterStoreArena(b *testing.B) { benchmarkCounterStore(b, profile
 
 // BenchmarkEngineRun measures one full OL instrumented run (300.twolf at
 // k = max/3) on each engine x store cell, all static artifacts (plan,
-// bytecode, register code) amortized through a shared pipeline. This is the
+// register code) amortized through a shared pipeline. This is the
 // head-to-head per-run comparison of the tree-walking reference
-// interpreter, the bytecode engine with fused probe opcodes, and the
-// register machine with superinstruction fusion.
+// interpreter and the register machine with superinstruction fusion.
 func BenchmarkEngineRun(b *testing.B) {
 	wb := workload.ByName("300.twolf")
 	prog, err := wb.Compile()
@@ -396,13 +395,10 @@ func BenchmarkEngineRun(b *testing.B) {
 	}
 	k := (p.Info.MaxDegree() + 2) / 3
 	cfg := instrument.Config{K: k, Loops: true, Interproc: true}
-	if _, err := p.Code(cfg); err != nil {
-		b.Fatal(err)
-	}
 	if _, err := p.RegCode(cfg); err != nil {
 		b.Fatal(err)
 	}
-	for _, eng := range []pipeline.Engine{pipeline.EngineTree, pipeline.EngineVM, pipeline.EngineReg} {
+	for _, eng := range []pipeline.Engine{pipeline.EngineTree, pipeline.EngineReg} {
 		for _, st := range []profile.StoreKind{profile.StoreNested, profile.StoreFlat, profile.StoreArena} {
 			b.Run(fmt.Sprintf("%s/%s", eng, st), func(b *testing.B) {
 				b.ReportAllocs()
@@ -450,14 +446,14 @@ func BenchmarkEngineRunSteady(b *testing.B) {
 	}
 }
 
-// BenchmarkSweepTreeVsVM measures one benchmark's full degree sweep
+// BenchmarkSweepByEngine measures one benchmark's full degree sweep
 // (compile, analyze, trace, then every degree -1..max) per engine on a
 // one-slot pool — the end-to-end number the issue's speedup target is
 // stated against.
-func BenchmarkSweepTreeVsVM(b *testing.B) {
+func BenchmarkSweepByEngine(b *testing.B) {
 	wb := workload.ByName("300.twolf")
 	pool := pipeline.NewPool(1)
-	for _, eng := range []pipeline.Engine{pipeline.EngineTree, pipeline.EngineVM, pipeline.EngineReg} {
+	for _, eng := range []pipeline.Engine{pipeline.EngineTree, pipeline.EngineReg} {
 		b.Run(eng.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

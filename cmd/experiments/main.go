@@ -5,7 +5,7 @@
 //
 //	experiments [-exp all|table1|table8|table9|fig5|fig6|fig7|fig8|fig9]
 //	            [-mode paper|extended] [-bench NAME]
-//	            [-parallel N] [-store flat|nested|arena] [-engine regvm|vm|tree]
+//	            [-parallel N] [-store flat|nested|arena] [-engine regvm|pgo|tree]
 //	            [-bench-json FILE] [-bench-n N]
 //	            [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -14,7 +14,7 @@
 // Collection fans out over a bounded worker pool (-parallel, default
 // GOMAXPROCS); -cpuprofile/-memprofile write pprof profiles of the sweep.
 // -bench-json runs the pipeline microbenchmarks (engine x store per-run
-// cells plus full sweeps on all three engines) instead of the experiments and
+// cells plus a full sweep per engine) instead of the experiments and
 // writes the measurements to FILE as JSON; -bench-n sets iterations per
 // cell.
 package main
@@ -51,7 +51,7 @@ func run() error {
 		plot      = flag.Bool("plot", false, "render figures as ASCII bar charts instead of series lists")
 		parallel  = flag.Int("parallel", 0, "worker-pool size for the collection sweep (0 = GOMAXPROCS)")
 		storeName = flag.String("store", "flat", "counter store layout: flat, nested, or arena")
-		engName   = flag.String("engine", "regvm", "execution engine: regvm (register machine, fused superinstructions), vm (bytecode, fused probes), or tree (reference interpreter)")
+		engName   = flag.String("engine", "regvm", "execution engine: regvm (register machine, fused superinstructions), pgo (regvm on profile-guided layout), or tree (reference interpreter)")
 		benchJSON = flag.String("bench-json", "", "run pipeline microbenchmarks and write results to FILE as JSON")
 		benchN    = flag.Int("bench-n", 0, "iterations per microbenchmark cell (0 = default)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the sweep to FILE")

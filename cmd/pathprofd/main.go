@@ -91,7 +91,7 @@ func main() {
 		os.Exit(2)
 	}
 	lg := slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
-	obs.SetLogger(lg) // pipeline/vm/merge debug events flow to the same stream
+	obs.SetLogger(lg) // pipeline/regvm/merge debug events flow to the same stream
 	pipeline.SetParallelism(*parallel)
 
 	// The persistent profile store opens before the serving layer so its

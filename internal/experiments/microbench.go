@@ -69,8 +69,7 @@ func measure(name, bench, engine, store string, iters int, fn func() error) (Ben
 // Microbench measures benchName across the engine x store grid at
 // k = max/3 plus a full degree sweep per engine, iters iterations per cell
 // (<= 0 picks a small default). The per-run cells share one warmed
-// pipeline, so they measure execution cost, not plan or bytecode
-// construction.
+// pipeline, so they measure execution cost, not plan or code construction.
 func Microbench(benchName string, iters int) ([]BenchResult, error) {
 	if iters <= 0 {
 		iters = 3
@@ -79,7 +78,7 @@ func Microbench(benchName string, iters int) ([]BenchResult, error) {
 	if wb == nil {
 		return nil, fmt.Errorf("experiments: no benchmark %q", benchName)
 	}
-	engines := []pipeline.Engine{pipeline.EngineTree, pipeline.EngineVM, pipeline.EngineReg}
+	engines := []pipeline.Engine{pipeline.EngineTree, pipeline.EngineReg}
 	stores := []profile.StoreKind{profile.StoreNested, profile.StoreFlat, profile.StoreArena}
 
 	prog, err := wb.Compile()
@@ -92,11 +91,8 @@ func Microbench(benchName string, iters int) ([]BenchResult, error) {
 	}
 	k := (p.Info.MaxDegree() + 2) / 3
 	cfg := instrument.Config{K: k, Loops: true, Interproc: true}
-	// Warm the shared artifacts (plan, bytecode, register code) outside the
-	// timed region.
-	if _, err := p.Code(cfg); err != nil {
-		return nil, err
-	}
+	// Warm the shared artifacts (plan, register code) outside the timed
+	// region.
 	if _, err := p.RegCode(cfg); err != nil {
 		return nil, err
 	}

@@ -47,7 +47,7 @@ func mergePipeline(t *testing.T) *pipeline.Pipeline {
 func snapshotAt(t *testing.T, p *pipeline.Pipeline, seed uint64, kind profile.StoreKind) *Snapshot {
 	t.Helper()
 	cfg := instrument.Config{K: mergeK, Loops: true, Interproc: true}
-	run, err := p.ExecuteStore(pipeline.EngineVM, cfg, seed, nil, profile.NewStore(kind, p.Info, 2), 0)
+	run, err := p.ExecuteStore(pipeline.EngineReg, cfg, seed, nil, profile.NewStore(kind, p.Info, 2), 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -165,10 +165,10 @@ func (c *checker) checkConservation(cl cell, got *profile.Counters) {
 }
 
 // checkStores validates that every (store, engine) combination materialized
-// identical canonical counters at every degree. With both engines
-// configured this is the tree-vs-vm differential check: the fused-probe
-// bytecode engine must reproduce the listener-dispatched reference
-// key-for-key.
+// identical canonical counters at every degree. With several engines
+// configured this is the differential engine check: the register machine,
+// with and without profile-guided layout, must reproduce the
+// listener-dispatched reference key-for-key.
 func (c *checker) checkStores() {
 	for _, k := range c.cfg.Ks {
 		for _, iters := range c.cfg.Iters {

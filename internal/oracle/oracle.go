@@ -73,11 +73,10 @@ type Config struct {
 	// Stores are the counter-store layouts (default nested, flat, and
 	// arena).
 	Stores []profile.StoreKind
-	// Engines are the execution engines (default tree, vm, regvm, pgo:
-	// the listener-dispatched reference interpreter is the comparison
-	// baseline the fused-probe bytecode engine, the register machine, and
-	// the register machine under self-trained profile-guided layout must
-	// all match).
+	// Engines are the execution engines (default tree, regvm, pgo: the
+	// listener-dispatched reference interpreter is the comparison
+	// baseline the register machine and the register machine under
+	// self-trained profile-guided layout must both match).
 	Engines []pipeline.Engine
 	// Modes are the estimation constraint modes (default Paper and
 	// Extended).
@@ -106,7 +105,7 @@ func (c Config) withDefaults() Config {
 		c.Stores = []profile.StoreKind{profile.StoreNested, profile.StoreFlat, profile.StoreArena}
 	}
 	if len(c.Engines) == 0 {
-		c.Engines = []pipeline.Engine{pipeline.EngineTree, pipeline.EngineVM, pipeline.EngineReg, pipeline.EnginePGO}
+		c.Engines = []pipeline.Engine{pipeline.EngineTree, pipeline.EngineReg, pipeline.EnginePGO}
 	}
 	if len(c.Modes) == 0 {
 		c.Modes = []estimate.Mode{estimate.Paper, estimate.Extended}
@@ -291,7 +290,7 @@ func (c *checker) ground() error {
 }
 
 // run executes one instrumented run at matrix cell cl through the shared
-// pipeline artifact cache (plans, and compiled bytecode on the VM engine),
+// pipeline artifact cache (plans, and compiled code on the register engines),
 // returning its counters and serialized form.
 func (c *checker) run(cl cell) (*profile.Counters, []byte, error) {
 	cfg := instrument.Config{K: cl.k, Loops: true, Interproc: true, Iters: cl.iters}

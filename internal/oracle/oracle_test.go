@@ -17,11 +17,11 @@ const batterySeeds = 40
 
 // TestOracleBattery runs the complete metamorphic invariant battery —
 // counter equivalence against trace ground truth, OL-0 == BL, store and
-// engine equivalence (tree vs vm vs regvm vs pgo layout), first-crossing
+// engine equivalence (tree vs regvm vs pgo layout), first-crossing
 // folds of widened profiles, bound bracketing and monotone tightening,
 // serialization round-trips, and sequential/parallel sweep identity — over
 // the harvested randprog corpus at k in {0, 1, 2} and window widths iters
-// in {2, 3, 4} under all three counter stores and all four engines.
+// in {2, 3, 4} under all three counter stores and all three engines.
 func TestOracleBattery(t *testing.T) {
 	target := batterySeeds
 	if testing.Short() {
@@ -46,10 +46,10 @@ func TestOracleBattery(t *testing.T) {
 			if err := res.Err(); err != nil {
 				t.Fatalf("seed %d: %v\n--- source ---\n%s", s.GenSeed, err, randprog.SeedSource(s.GenSeed))
 			}
-			// 3 degrees x 3 widths x 3 stores x 4 engines, sequential +
+			// 3 degrees x 3 widths x 3 stores x 3 engines, sequential +
 			// parallel sweeps, plus the merge cell's 3 widths x 3 stores
 			// x 3 chunks x (split + concatenated) runs.
-			if want := 2*(3*3*3*4) + 3*3*3*2; res.Runs != want {
+			if want := 2*(3*3*3*3) + 3*3*3*2; res.Runs != want {
 				t.Fatalf("seed %d: %d instrumented runs, want %d", s.GenSeed, res.Runs, want)
 			}
 		})

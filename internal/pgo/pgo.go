@@ -1,13 +1,13 @@
-// Package pgo closes the profile-guided-optimization loop: it turns a
-// path profile (local, merged, or fetched from a pathprofd fleet) into a
-// layout Plan — one superblock ordering per function — that the bytecode
-// compilers consume to reorder instruction emission. The dominant
-// overlapping path becomes the fall-through spine, cold blocks move
-// out-of-line past the hot window, and caller-determined callee branches
-// (the branch-correlation application) orient toward their proven
-// direction. Layout never changes semantics: the oracle cube proves the
-// PGO engine byte-identical to the default layout on counters, estimates,
-// and error strings.
+// Package pgo closes the profile-guided-optimization loop: it turns a path
+// profile (local, merged, or fetched from a pathprofd fleet) into a layout
+// Plan — one superblock ordering per function — that the register compiler
+// (regvm.CompileLayout) consumes to reorder instruction emission. The
+// dominant overlapping path becomes the fall-through spine, cold blocks
+// move out-of-line past the hot window, and caller-determined callee
+// branches (the branch-correlation application) orient toward their proven
+// direction. Layout never changes semantics: the oracle cube proves the PGO
+// engine byte-identical to the default layout on counters, estimates, and
+// error strings.
 //
 // Derivation runs the stages named by Stages (DESIGN.md §16 documents
 // them, enforced by docscheck): bl-heat accumulates intra-procedural edge

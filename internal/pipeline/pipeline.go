@@ -27,7 +27,6 @@ import (
 	"pathprof/internal/profile"
 	"pathprof/internal/regvm"
 	"pathprof/internal/trace"
-	"pathprof/internal/vm"
 )
 
 // Engine selects the execution engine instrumented runs use.
@@ -37,8 +36,6 @@ const (
 	// EngineReg is the register machine with superinstruction fusion and
 	// pooled zero-alloc run state (the default, and the zero value).
 	EngineReg Engine = iota
-	// EngineVM is the bytecode engine with fused probe opcodes.
-	EngineVM
 	// EngineTree is the tree-walking reference interpreter with
 	// listener-dispatched probes.
 	EngineTree
@@ -52,8 +49,6 @@ const (
 // String implements flag-friendly rendering.
 func (e Engine) String() string {
 	switch e {
-	case EngineVM:
-		return "vm"
 	case EngineTree:
 		return "tree"
 	case EnginePGO:
@@ -67,8 +62,6 @@ func ParseEngine(s string) (Engine, bool) {
 	switch s {
 	case "regvm":
 		return EngineReg, true
-	case "vm":
-		return EngineVM, true
 	case "tree":
 		return EngineTree, true
 	case "pgo":
@@ -106,7 +99,6 @@ type Pipeline struct {
 
 	mu       sync.Mutex
 	plans    map[planKey]*planEntry
-	codes    map[planKey]*codeEntry
 	regCodes map[planKey]*regEntry
 	pgoCodes map[pgoKey]*pgoEntry
 }
@@ -141,20 +133,12 @@ type planEntry struct {
 	err  error
 }
 
-// codeEntry caches one configuration's compiled bytecode the same way,
-// plus a free pool of warmed machines whose slabs (globals, arrays, frame
-// free-list) are recycled across runs of this code.
-type codeEntry struct {
-	once sync.Once
-	code *vm.Program
-	err  error
-	pool sync.Pool
-}
-
-// regEntry caches one configuration's register code and its machine pool.
-// Pooling hangs off the code entry because a machine's slab geometry is
-// code-specific; shard fan-out over the same configuration pays the
-// machine's allocations exactly once per worker.
+// regEntry caches one configuration's register code the same way, plus a
+// free pool of warmed machines whose slabs (globals, arrays, frame
+// free-list) are recycled across runs of this code. Pooling hangs off the
+// code entry because a machine's slab geometry is code-specific; shard
+// fan-out over the same configuration pays the machine's allocations
+// exactly once per worker.
 type regEntry struct {
 	once sync.Once
 	code *regvm.Program
@@ -174,14 +158,13 @@ type pgoKey struct {
 	maxSteps int64
 }
 
-// pgoEntry caches one PGO compilation end to end: the derived layout
-// plan, the recompiled register code, and its machine pool.
+// pgoEntry caches one PGO compilation end to end: the recompiled register
+// code and its machine pool (the embedded regEntry, so a PGO run executes
+// through the same path as a plain register run) plus the derived layout
+// plan.
 type pgoEntry struct {
-	once sync.Once
+	regEntry
 	plan *pgo.Plan
-	code *regvm.Program
-	err  error
-	pool sync.Pool
 }
 
 // New analyzes an already-lowered program and wraps it in a Pipeline.
@@ -196,7 +179,6 @@ func New(prog *ir.Program, opts Options) (*Pipeline, error) {
 	return &Pipeline{
 		Prog: prog, Info: info, opts: opts,
 		plans:    map[planKey]*planEntry{},
-		codes:    map[planKey]*codeEntry{},
 		regCodes: map[planKey]*regEntry{},
 		pgoCodes: map[pgoKey]*pgoEntry{},
 	}, nil
@@ -257,48 +239,8 @@ func errString(err error) string {
 	return err.Error()
 }
 
-// vmCode returns the singleflight cache slot holding cfg's compiled
-// bytecode and machine pool, building the code at most once per
-// configuration.
-func (p *Pipeline) vmCode(cfg instrument.Config) (*codeEntry, error) {
-	plan, err := p.Plan(cfg)
-	if err != nil {
-		return nil, err
-	}
-	key := keyOf(cfg)
-	p.mu.Lock()
-	e := p.codes[key]
-	if e == nil {
-		e = &codeEntry{}
-		p.codes[key] = e
-	}
-	p.mu.Unlock()
-	e.once.Do(func() {
-		start := time.Now()
-		e.code, e.err = vm.Compile(p.Prog, plan)
-		if obs.DebugEnabled() {
-			obs.Logger().Debug("pipeline.code",
-				"engine", "vm", "k", cfg.K,
-				"elapsed_ms", time.Since(start).Milliseconds(), "err", errString(e.err))
-		}
-	})
-	if e.err != nil {
-		return nil, e.err
-	}
-	return e, nil
-}
-
-// machine checks a warmed machine out of the entry's pool (or allocates the
-// first one), reset for a run at seed. Callers return it with e.pool.Put.
-func (e *codeEntry) machine(seed uint64) *vm.Machine {
-	if m, ok := e.pool.Get().(*vm.Machine); ok {
-		m.Reset(seed)
-		return m
-	}
-	return vm.NewMachine(e.code, seed)
-}
-
-// regCode is vmCode for the register engine.
+// regCode returns the singleflight cache slot holding cfg's register code
+// and machine pool, building the code at most once per configuration.
 func (p *Pipeline) regCode(cfg instrument.Config) (*regEntry, error) {
 	plan, err := p.Plan(cfg)
 	if err != nil {
@@ -327,7 +269,8 @@ func (p *Pipeline) regCode(cfg instrument.Config) (*regEntry, error) {
 	return e, nil
 }
 
-// machine is codeEntry.machine for the register engine.
+// machine checks a warmed machine out of the entry's pool (or allocates the
+// first one), reset for a run at seed. Callers return it with e.pool.Put.
 func (e *regEntry) machine(seed uint64) *regvm.Machine {
 	if m, ok := e.pool.Get().(*regvm.Machine); ok {
 		m.Reset(seed)
@@ -389,29 +332,23 @@ func (p *Pipeline) pgoCode(cfg instrument.Config, seed uint64, maxSteps int64) (
 	return e, nil
 }
 
-// machine is regEntry.machine for the PGO-layout code.
-func (e *pgoEntry) machine(seed uint64) *regvm.Machine {
-	if m, ok := e.pool.Get().(*regvm.Machine); ok {
-		m.Reset(seed)
-		return m
+// code returns the cache slot a register-machine run on eng executes from:
+// cfg's plain register code, or for EnginePGO its layout-recompiled code.
+func (p *Pipeline) code(eng Engine, cfg instrument.Config, seed uint64, maxSteps int64) (*regEntry, error) {
+	if eng != EnginePGO {
+		return p.regCode(cfg)
 	}
-	return regvm.NewMachine(e.code, seed)
-}
-
-// Code returns the compiled bytecode (with cfg's probes fused in) for the
-// VM engine, building it at most once per configuration — the compiled
-// program is a cached artifact alongside the plan it embeds, shared across
-// a degree sweep's runs.
-func (p *Pipeline) Code(cfg instrument.Config) (*vm.Program, error) {
-	e, err := p.vmCode(cfg)
+	e, err := p.pgoCode(cfg, seed, maxSteps)
 	if err != nil {
 		return nil, err
 	}
-	return e.code, nil
+	return &e.regEntry, nil
 }
 
-// RegCode is Code for the register engine, exposing the compiled register
-// program (and its fusion statistics) for tests and experiments.
+// RegCode returns the compiled register program (with cfg's probes fused
+// in), building it at most once per configuration — the compiled program is
+// a cached artifact alongside the plan it embeds, shared across a degree
+// sweep's runs. Tests and experiments read its fusion statistics.
 func (p *Pipeline) RegCode(cfg instrument.Config) (*regvm.Program, error) {
 	e, err := p.regCode(cfg)
 	if err != nil {
@@ -450,13 +387,6 @@ func (p *Pipeline) CachedPlans() int {
 	return len(p.plans)
 }
 
-// CachedCodes reports how many compiled bytecode programs the cache holds.
-func (p *Pipeline) CachedCodes() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return len(p.codes)
-}
-
 // Run is the outcome of one instrumented execution.
 type Run struct {
 	// K is the profiled degree (-1 = Ball-Larus only).
@@ -477,11 +407,11 @@ type Run struct {
 }
 
 // Execute performs one instrumented run of the program at cfg with the
-// given seed, through the cached plan (and, on the register and bytecode
-// engines, the cached compiled code and a pooled machine). out, when
-// non-nil, receives the program's print output. Safe for concurrent
-// callers: the plan and static artifacts are shared, machine and counter
-// store are per-run (machines check out of a per-code pool).
+// given seed, through the cached plan (and, on the register engines, the
+// cached compiled code and a pooled machine). out, when non-nil, receives
+// the program's print output. Safe for concurrent callers: the plan and
+// static artifacts are shared, machine and counter store are per-run
+// (machines check out of a per-code pool).
 func (p *Pipeline) Execute(cfg instrument.Config, seed uint64, out io.Writer) (*Run, error) {
 	return p.ExecuteStore(p.opts.Engine, cfg, seed, out, p.NewStore(cfg.EffIters()), 0)
 }
@@ -491,72 +421,8 @@ func (p *Pipeline) Execute(cfg instrument.Config, seed uint64, out io.Writer) (*
 // differential oracle sweeps its engine x store matrix through.
 func (p *Pipeline) ExecuteStore(eng Engine, cfg instrument.Config, seed uint64, out io.Writer, store profile.CounterStore, maxSteps int64) (*Run, error) {
 	switch eng {
-	case EngineReg:
-		e, err := p.regCode(cfg)
-		if err != nil {
-			return nil, err
-		}
-		m := e.machine(seed)
-		defer e.pool.Put(m)
-		if out != nil {
-			m.Out = out
-		}
-		if maxSteps > 0 {
-			m.MaxSteps = maxSteps
-		}
-		start := time.Now()
-		if err := m.Run(store); err != nil {
-			return nil, err
-		}
-		if obs.DebugEnabled() {
-			obs.Logger().Debug("pipeline.execute",
-				"engine", eng.String(), "k", cfg.K, "seed", seed,
-				"steps", m.Steps, "elapsed_ms", time.Since(start).Milliseconds())
-		}
-		return &Run{
-			K:         cfg.K,
-			Iters:     cfg.EffIters(),
-			Selection: cfg.Selection,
-			Counters:  store.Counters(),
-			Overhead:  m.Report(),
-			Steps:     m.Steps,
-			BaseOps:   m.BaseOps,
-		}, nil
-
-	case EnginePGO:
-		e, err := p.pgoCode(cfg, seed, maxSteps)
-		if err != nil {
-			return nil, err
-		}
-		m := e.machine(seed)
-		defer e.pool.Put(m)
-		if out != nil {
-			m.Out = out
-		}
-		if maxSteps > 0 {
-			m.MaxSteps = maxSteps
-		}
-		start := time.Now()
-		if err := m.Run(store); err != nil {
-			return nil, err
-		}
-		if obs.DebugEnabled() {
-			obs.Logger().Debug("pipeline.execute",
-				"engine", eng.String(), "k", cfg.K, "seed", seed,
-				"steps", m.Steps, "elapsed_ms", time.Since(start).Milliseconds())
-		}
-		return &Run{
-			K:         cfg.K,
-			Iters:     cfg.EffIters(),
-			Selection: cfg.Selection,
-			Counters:  store.Counters(),
-			Overhead:  m.Report(),
-			Steps:     m.Steps,
-			BaseOps:   m.BaseOps,
-		}, nil
-
-	case EngineVM:
-		e, err := p.vmCode(cfg)
+	case EngineReg, EnginePGO:
+		e, err := p.code(eng, cfg, seed, maxSteps)
 		if err != nil {
 			return nil, err
 		}

@@ -196,3 +196,28 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		t.Fatalf("observed %d concurrent tasks, bound is %d", got, bound)
 	}
 }
+
+// TestEngineNames: every engine's flag spelling parses back to the same
+// engine, and a retired or unknown spelling is rejected.
+func TestEngineNames(t *testing.T) {
+	for _, tc := range []struct {
+		eng  pipeline.Engine
+		name string
+	}{
+		{pipeline.EngineReg, "regvm"},
+		{pipeline.EngineTree, "tree"},
+		{pipeline.EnginePGO, "pgo"},
+	} {
+		if got := tc.eng.String(); got != tc.name {
+			t.Errorf("Engine(%d).String() = %q, want %q", tc.eng, got, tc.name)
+		}
+		if got, ok := pipeline.ParseEngine(tc.name); !ok || got != tc.eng {
+			t.Errorf("ParseEngine(%q) = %v, %v; want %v, true", tc.name, got, ok, tc.eng)
+		}
+	}
+	for _, bad := range []string{"vm", "", "REGVM"} {
+		if _, ok := pipeline.ParseEngine(bad); ok {
+			t.Errorf("ParseEngine(%q) accepted a name no engine has", bad)
+		}
+	}
+}

@@ -321,7 +321,7 @@ func (c *fnCompiler) block(bid int, blk *ir.Block) error {
 		c.p.Fusion.StepMove++
 	case ir.BinOp:
 		if in.Op < ir.OpAdd || in.Op > ir.OpXor {
-			// Invalid operator: keep the bytecode engine's runtime error.
+			// Invalid operator: keep the interpreter's runtime error.
 			c.emit(inst{op: opStep, imm: cost})
 			rest = blk.Body
 			break
@@ -695,10 +695,8 @@ func (c *fnCompiler) emitProbe(s *probeSeq, target int32, fall bool) {
 }
 
 // probe lowers the probe of edge bid→to (nil when the program is
-// uninstrumented or the edge has no probe work at all). The derivation
-// mirrors internal/vm's probe construction exactly; only the output form
-// differs: straight-line micro-ops and a static tail instead of an action
-// record.
+// uninstrumented or the edge has no probe work at all): straight-line
+// micro-ops plus a static tail.
 func (c *fnCompiler) probe(bid, to int) (*probeSeq, error) {
 	if c.plan == nil {
 		return nil, nil

@@ -70,10 +70,9 @@ type frame struct {
 	suffixes    []suffix
 }
 
-// Machine executes one compiled program. Its public knobs and counters
-// mirror vm.Machine so callers can switch engines without translation. A
-// Machine is single-goroutine; Reset re-arms the same slabs for the next
-// run, so a pooled Machine executes with zero steady-state allocations.
+// Machine executes one compiled program. A Machine is single-goroutine;
+// Reset re-arms the same slabs for the next run, so a pooled Machine
+// executes with zero steady-state allocations.
 type Machine struct {
 	prog *Program
 	// Out receives Print output (defaults to io.Discard).

@@ -1,9 +1,8 @@
-// Package regvm is the register-machine execution engine: the third and
-// fastest engine of the pipeline, replacing internal/vm's wide generic
-// instructions and pointer-chased probe records with a compact
-// register-based ISA and superinstruction fusion.
+// Package regvm is the register-machine execution engine: the fast engine
+// of the pipeline beside the tree-walking reference interpreter, running a
+// compact register-based ISA with instrumentation probes fused in.
 //
-// Three ideas carry the speedup over the bytecode engine:
+// Three ideas carry its speed:
 //
 //   - Typed register files with compile-time slot assignment. Every operand
 //     is resolved at compile time to a signed 32-bit register reference:
@@ -12,9 +11,8 @@
 //     machine's shared read-mostly slab holding the program's globals
 //     followed by its interned constant pool. Instructions are a fixed 24
 //     bytes (opcode, sub-opcode, three register references, one immediate),
-//     a fifth the size of internal/vm's generic instruction, so the hot
-//     dispatch loop stays in cache; binary operators are flattened into
-//     per-operator opcodes so dispatch is a single switch.
+//     so the hot dispatch loop stays in cache; binary operators are
+//     flattened into per-operator opcodes so dispatch is a single switch.
 //
 //   - Superinstruction fusion. A fusion pass over the linearized blocks
 //     merges the hottest adjacent pairs the engine's own profiles exposed:
@@ -27,10 +25,9 @@
 //     interprocedural regions, backedge completions) execute in one
 //     dispatch too: the whole sequence compiles to a single record-driven
 //     Probe instruction, and probed branch terminators fuse the branch,
-//     both edges' probe work, and the jump into one BranchProbe — where
-//     the bytecode engine pays a dispatch per edge plus a trampoline jump,
-//     this engine pays one dispatch for the branch and everything behind
-//     it.
+//     both edges' probe work, and the jump into one BranchProbe, so the
+//     engine pays one dispatch for the branch and everything behind it
+//     rather than one per edge plus a trampoline jump.
 //
 //   - Batched counter charges and zero-alloc steady state. Consecutive
 //     completions of the same Ball-Larus path, the same loop window, and
@@ -42,11 +39,11 @@
 //     Reset reuses, so a pooled Machine executes with zero heap
 //     allocations in steady state.
 //
-// The engine is semantics-identical to internal/interp and internal/vm by
-// construction and by the differential oracle: step counts, base-op and
-// probe-op accounting, counter increments, Print output, and error
-// messages (which keep the "interp:" prefix so all engines stay
-// byte-comparable) match the tree engine on the same program and seed.
+// The engine is semantics-identical to internal/interp by construction and
+// by the differential oracle: step counts, base-op and probe-op accounting,
+// counter increments, Print output, and error messages (which keep the
+// "interp:" prefix so all engines stay byte-comparable) match the tree
+// engine on the same program and seed.
 package regvm
 
 import (
@@ -81,7 +78,7 @@ const (
 	opPrint
 	opFuncRef
 
-	// opBad preserves the bytecode engine's runtime "unknown op" error for
+	// opBad preserves the interpreter's runtime "unknown op" error for
 	// binary operators outside the defined ir.OpKind range.
 	opBad
 
@@ -219,8 +216,7 @@ type branchRec struct {
 	els  branchArm
 }
 
-// extAct is one interprocedural region's step on one edge; identical in
-// meaning to the bytecode engine's record.
+// extAct is one interprocedural region's step on one edge.
 type extAct struct {
 	statOps int64
 	liveOps int64

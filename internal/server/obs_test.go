@@ -16,6 +16,10 @@ import (
 // lifecycle order, and every stage histogram on /metrics saw observations.
 func TestJobTraceAndLogs(t *testing.T) {
 	capture := obs.NewCapture(slog.LevelDebug)
+	// The library layers (pipeline, regvm) log through the process-wide
+	// logger; route it into the same capture as the daemon's own events.
+	obs.SetLogger(slog.New(capture))
+	t.Cleanup(func() { obs.SetLogger(nil) })
 	d := newDaemon(t, Config{Runners: 1, Logger: slog.New(capture), Persist: testStore(t, t.TempDir())}, true)
 
 	const shards = 3
@@ -113,6 +117,17 @@ func TestJobTraceAndLogs(t *testing.T) {
 	}
 	if shardDone != shards {
 		t.Fatalf("job.shard.done ×%d, want ×%d", shardDone, shards)
+	}
+	// The library-layer debug events DESIGN.md §12.3 documents reach the
+	// same stream while the job's shards compile and run.
+	seen := map[string]bool{}
+	for _, m := range msgs {
+		seen[m] = true
+	}
+	for _, evt := range []string{"pipeline.plan", "pipeline.code", "pipeline.execute", "regvm.compile", "regvm.run"} {
+		if !seen[evt] {
+			t.Fatalf("library debug event %q missing from %v", evt, msgs)
+		}
 	}
 
 	// --- Histograms --------------------------------------------------

@@ -1,6 +1,6 @@
 // Package server implements the pathprofd profile-aggregation daemon: a
 // long-running HTTP service that accepts profiling jobs, fans each job's
-// shards out across the shared pipeline worker pool on the bytecode VM
+// shards out across the shared pipeline worker pool on the register-machine
 // engine, folds the shard snapshots into one profile with internal/merge,
 // and serves per-job results, flow estimates, and merged fleet-wide profiles
 // per benchmark.

@@ -17,7 +17,7 @@ func cell(name, engine, store string, iters int, ns float64) experiments.BenchRe
 func grid(scale float64) []experiments.BenchResult {
 	return []experiments.BenchResult{
 		cell("run", "tree", "nested", 2, 24e6*scale),
-		cell("run", "vm", "arena", 2, 3e6*scale),
+		cell("run", "regvm", "nested", 2, 3e6*scale),
 		cell("run", "regvm", "arena", 2, 2.4e6*scale),
 		cell("steady", "regvm", "arena", 2, 2.4e6*scale),
 		cell("sweep", "tree", "flat", 0, 250e6*scale),

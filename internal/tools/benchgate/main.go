@@ -3,7 +3,7 @@
 // against the committed numbers. Cells are compared as ratios to the
 // tree/nested reference cell, not as raw nanoseconds, so the gate is
 // insensitive to how fast the CI box happens to be: only the *shape* of
-// the grid — regvm beating vm beating tree by the committed margins — is
+// the grid — regvm beating tree by the committed margins — is
 // enforced. A cell that vanishes from the measured grid also fails.
 //
 // The fresh file is additionally self-gated: each "run-pgo" cell
